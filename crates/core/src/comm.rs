@@ -13,11 +13,9 @@
 //!
 //! Because the *same* per-rank program runs on both substrates, the
 //! simulator cannot drift from the executable code: the message schedule
-//! is defined exactly once. The simulator-side collective schedules below
-//! are rank-for-rank transliterations of
-//! `hsumma_runtime::collectives` (same trees, same segment dealing), which
-//! is what `tests/sim_golden_parity.rs` and
-//! `tests/sim_model_consistency.rs` pin down.
+//! is defined exactly once. The collectives are too: every substrate runs
+//! the one copy of each tree in `hsumma_runtime::collectives`, the
+//! phantom ones through the byte-counting link at the end of this file.
 //!
 //! Payload shapes are globally known in all these algorithms (each panel's
 //! dimensions follow from the step index), which is why `recv_mat` takes
@@ -27,8 +25,10 @@
 use hsumma_matrix::factor::{lu_nopiv_inplace, qr_thin, trsm_left_lower_unit, trsm_right_upper};
 use hsumma_matrix::{gemm, gemm_scaled, GemmKernel, Matrix};
 use hsumma_netsim::{RecordComm, SimComm};
-use hsumma_runtime::collectives::{self, chunk_range};
+use hsumma_runtime::collectives::{self, bcast_tree, reduce_tree, Phase, TreeP2p};
 use hsumma_runtime::{BcastAlgorithm, Comm, CommError, WirePayload};
+use hsumma_trace::COLLECTIVE_TAG_FLOOR;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Matrix operations the generic algorithms need. Implemented by the real
@@ -223,8 +223,8 @@ impl MatLike for PhantomMat {
 /// `1 << 62`) so fault rules written against `TagClass::Collective`
 /// match ibcast traffic exactly like blocking-collective traffic, on
 /// both substrates. The `1 << 48` offset keeps the band disjoint from
-/// the simulator's fixed collective tags (`SIM_TAG_*`, small offsets
-/// above `1 << 62`) and below the runtime's internal protocol tags
+/// the simulator's fixed collective tags (one per tree phase, small
+/// offsets above `1 << 62`) and below the runtime's internal protocol tags
 /// (`1 << 63`).
 pub const IBCAST_TAG_BASE: u64 = (1 << 62) + (1 << 48);
 
@@ -569,59 +569,6 @@ impl Communicator for Comm {
 // Simulated substrate: phantom payloads over SimNet clocks.
 // ---------------------------------------------------------------------------
 
-// Collective wire tags, far above any tag the algorithms use (the largest
-// algorithm tag is overlap's `2·steps + 2³²`).
-const SIM_TAG_BCAST: u64 = 1 << 62;
-const SIM_TAG_PIPELINE: u64 = (1 << 62) + 1;
-const SIM_TAG_SCATTER: u64 = (1 << 62) + 2;
-const SIM_TAG_ALLGATHER: u64 = (1 << 62) + 3;
-const SIM_TAG_REDUCE: u64 = (1 << 62) + 4;
-
-/// Rank algebra plus raw byte point-to-point: the minimal surface the
-/// simulator-side collective schedules below need. Implemented by the
-/// clock-advancing [`SimComm`] and the schedule-recording [`RecordComm`],
-/// so one transliteration of the runtime's collectives serves both — the
-/// recorded tree edges are definitionally the ones the threaded simulator
-/// walks.
-trait ByteComm {
-    fn rank(&self) -> usize;
-    fn size(&self) -> usize;
-    fn send_bytes(&self, dst: usize, tag: u64, bytes: u64) -> Result<(), CommError>;
-    fn recv_bytes(&self, src: usize, tag: u64) -> Result<u64, CommError>;
-}
-
-impl ByteComm for SimComm<'_> {
-    fn rank(&self) -> usize {
-        SimComm::rank(self)
-    }
-    fn size(&self) -> usize {
-        SimComm::size(self)
-    }
-    fn send_bytes(&self, dst: usize, tag: u64, bytes: u64) -> Result<(), CommError> {
-        SimComm::send_bytes(self, dst, tag, bytes)
-    }
-    fn recv_bytes(&self, src: usize, tag: u64) -> Result<u64, CommError> {
-        SimComm::recv_bytes(self, src, tag)
-    }
-}
-
-impl ByteComm for RecordComm<'_> {
-    fn rank(&self) -> usize {
-        RecordComm::rank(self)
-    }
-    fn size(&self) -> usize {
-        RecordComm::size(self)
-    }
-    fn send_bytes(&self, dst: usize, tag: u64, bytes: u64) -> Result<(), CommError> {
-        RecordComm::send_bytes(self, dst, tag, bytes)
-    }
-    fn recv_bytes(&self, src: usize, tag: u64) -> Result<u64, CommError> {
-        // Collective receives never inspect the byte count (the shapes
-        // are globally known), so the recorded op is unchecked.
-        self.recv_bytes_unchecked(src, tag)
-    }
-}
-
 impl<'w> Communicator for SimComm<'w> {
     type Mat = PhantomMat;
     type Shared = PhantomMat;
@@ -697,12 +644,10 @@ impl<'w> Communicator for SimComm<'w> {
         root: usize,
         mat: &mut PhantomMat,
     ) -> Result<(), CommError> {
-        assert!(root < self.size(), "root out of range");
-        sim_bcast(self, algo, root, mat.elems())
+        phantom_bcast(self, algo, root, mat.elems())
     }
     fn reduce_sum_mat(&self, root: usize, mat: &mut PhantomMat) -> Result<(), CommError> {
-        assert!(root < self.size(), "root out of range");
-        sim_reduce(self, root, mat.elems())
+        phantom_reduce(self, root, mat.elems())
     }
     fn barrier(&self) -> Result<(), CommError> {
         SimComm::barrier(self)
@@ -794,12 +739,10 @@ impl<'r> Communicator for RecordComm<'r> {
         root: usize,
         mat: &mut PhantomMat,
     ) -> Result<(), CommError> {
-        assert!(root < self.size(), "root out of range");
-        sim_bcast(self, algo, root, mat.elems())
+        phantom_bcast(self, algo, root, mat.elems())
     }
     fn reduce_sum_mat(&self, root: usize, mat: &mut PhantomMat) -> Result<(), CommError> {
-        assert!(root < self.size(), "root out of range");
-        sim_reduce(self, root, mat.elems())
+        phantom_reduce(self, root, mat.elems())
     }
     fn barrier(&self) -> Result<(), CommError> {
         RecordComm::barrier(self)
@@ -817,146 +760,55 @@ impl<'r> Communicator for RecordComm<'r> {
     }
 }
 
-/// Phantom-payload broadcast of `elems` `f64`s: the same per-rank message
-/// schedules as `hsumma_runtime::collectives::bcast_f64`, expressed SPMD
-/// over virtual clocks. Segmenting algorithms deal *elements* with
-/// [`chunk_range`], exactly like the runtime, so segment wire sizes match
-/// message-for-message.
-fn sim_bcast<C: ByteComm>(
+/// Tree link of the phantom substrates ([`SimComm`] and [`RecordComm`]):
+/// each edge of a `hsumma_runtime::collectives` tree ships its element
+/// range's bytes under the simulator's collective tag for the phase,
+/// `COLLECTIVE_TAG_FLOOR + phase` (above every tag the algorithms use;
+/// the largest is overlap's `2·steps + 2³²`).
+struct PhantomLink<'c, C>(&'c C);
+
+/// `bcast_mat` of both phantom substrates.
+fn phantom_bcast<C: Communicator<Mat = PhantomMat>>(
     comm: &C,
     algo: BcastAlgorithm,
     root: usize,
     elems: usize,
 ) -> Result<(), CommError> {
-    let p = comm.size();
-    if p == 1 {
-        return Ok(());
-    }
-    let me = comm.rank();
-    let vrank = (me + p - root) % p;
-    let unvirt = |v: usize| (v + root) % p;
-    let bytes = mat_bytes(1, elems);
-    match algo {
-        BcastAlgorithm::Flat => {
-            // The runtime's root sends in *local-rank* order, not virtual
-            // order — mirrored here so arrival times line up.
-            if me == root {
-                for dst in 0..p {
-                    if dst != root {
-                        comm.send_bytes(dst, SIM_TAG_BCAST, bytes)?;
-                    }
-                }
-            } else {
-                comm.recv_bytes(root, SIM_TAG_BCAST)?;
-            }
-        }
-        BcastAlgorithm::Binomial => {
-            if vrank != 0 {
-                let high = 1usize << (usize::BITS - 1 - vrank.leading_zeros());
-                comm.recv_bytes(unvirt(vrank - high), SIM_TAG_BCAST)?;
-            }
-            let mut mask = 1usize;
-            while mask < p {
-                if mask > vrank && vrank + mask < p {
-                    comm.send_bytes(unvirt(vrank + mask), SIM_TAG_BCAST, bytes)?;
-                }
-                mask <<= 1;
-            }
-        }
-        BcastAlgorithm::Binary => {
-            if vrank != 0 {
-                comm.recv_bytes(unvirt((vrank - 1) / 2), SIM_TAG_BCAST)?;
-            }
-            for child in [2 * vrank + 1, 2 * vrank + 2] {
-                if child < p {
-                    comm.send_bytes(unvirt(child), SIM_TAG_BCAST, bytes)?;
-                }
-            }
-        }
-        BcastAlgorithm::Ring => {
-            if vrank != 0 {
-                comm.recv_bytes(unvirt(vrank - 1), SIM_TAG_BCAST)?;
-            }
-            if vrank + 1 < p {
-                comm.send_bytes(unvirt(vrank + 1), SIM_TAG_BCAST, bytes)?;
-            }
-        }
-        BcastAlgorithm::Pipelined { segments } => {
-            assert!(segments >= 1, "need at least one segment");
-            let segments = segments.min(elems.max(1));
-            let prev = unvirt(vrank + p - 1);
-            let next = unvirt(vrank + 1);
-            for s in 0..segments {
-                let (lo, hi) = chunk_range(elems, segments, s);
-                if vrank > 0 {
-                    comm.recv_bytes(prev, SIM_TAG_PIPELINE)?;
-                }
-                if vrank + 1 < p {
-                    comm.send_bytes(next, SIM_TAG_PIPELINE, mat_bytes(1, hi - lo))?;
-                }
-            }
-        }
-        BcastAlgorithm::ScatterAllgather => {
-            // Binomial scatter: virtual rank v relays the chunks of
-            // virtual ranks [v, v + extent), extent = v's lowest set bit
-            // (everything for the root). The runtime's relay messages
-            // carry a shared buffer; on the wire the *useful* payload of
-            // an edge is its subtree's chunk range, which is what the
-            // analytic model (and the old central replay) charges.
-            let p2 = p.next_power_of_two();
-            let my_extent = if vrank == 0 {
-                p2
-            } else {
-                vrank & vrank.wrapping_neg()
-            };
-            if vrank != 0 {
-                comm.recv_bytes(unvirt(vrank - my_extent), SIM_TAG_SCATTER)?;
-            }
-            let mut mask = my_extent >> 1;
-            while mask > 0 {
-                let child = vrank + mask;
-                if child < p {
-                    let hi_v = (child + mask).min(p);
-                    let (lo, _) = chunk_range(elems, p, child);
-                    let (_, hi) = chunk_range(elems, p, hi_v - 1);
-                    comm.send_bytes(unvirt(child), SIM_TAG_SCATTER, mat_bytes(1, hi - lo))?;
-                }
-                mask >>= 1;
-            }
-            // Ring allgather: round k sends chunk (v−k), receives (v−k−1).
-            let next = unvirt(vrank + 1);
-            let prev = unvirt(vrank + p - 1);
-            for k in 0..p - 1 {
-                let send_chunk = (vrank + p - k) % p;
-                let (slo, shi) = chunk_range(elems, p, send_chunk);
-                comm.send_bytes(next, SIM_TAG_ALLGATHER, mat_bytes(1, shi - slo))?;
-                comm.recv_bytes(prev, SIM_TAG_ALLGATHER)?;
-            }
-        }
-    }
-    Ok(())
+    let shape = (comm.size(), comm.rank());
+    bcast_tree(&mut PhantomLink(comm), shape, algo, root, elems)
 }
 
-/// Phantom binomial-tree sum reduction, mirroring
-/// `hsumma_runtime::collectives::reduce_sum_f64` (leaves send first; the
-/// element-wise adds are uncharged there and so charge nothing here).
-fn sim_reduce<C: ByteComm>(comm: &C, root: usize, elems: usize) -> Result<(), CommError> {
-    let p = comm.size();
-    let vrank = (comm.rank() + p - root) % p;
-    let unvirt = |v: usize| (v + root) % p;
-    let bytes = mat_bytes(1, elems);
-    let mut mask = 1usize;
-    while mask < p {
-        if vrank & mask != 0 {
-            comm.send_bytes(unvirt(vrank ^ mask), SIM_TAG_REDUCE, bytes)?;
-            return Ok(());
-        }
-        if vrank + mask < p {
-            comm.recv_bytes(unvirt(vrank + mask), SIM_TAG_REDUCE)?;
-        }
-        mask <<= 1;
+/// `reduce_sum_mat` of both phantom substrates.
+fn phantom_reduce<C: Communicator<Mat = PhantomMat>>(
+    comm: &C,
+    root: usize,
+    elems: usize,
+) -> Result<(), CommError> {
+    reduce_tree(
+        &mut PhantomLink(comm),
+        (comm.size(), comm.rank()),
+        root,
+        elems,
+    )
+}
+
+fn phantom_tag(phase: Phase) -> u64 {
+    COLLECTIVE_TAG_FLOOR + phase as u64
+}
+
+impl<C: Communicator<Mat = PhantomMat>> TreeP2p for PhantomLink<'_, C> {
+    fn send(&mut self, phase: Phase, peer: usize, range: Range<usize>) -> Result<(), CommError> {
+        let seg = PhantomMat {
+            rows: 1,
+            cols: range.len(),
+        };
+        self.0.send_mat(peer, phantom_tag(phase), seg)
     }
-    Ok(())
+    fn recv(&mut self, phase: Phase, peer: usize, range: Range<usize>) -> Result<(), CommError> {
+        self.0
+            .recv_mat(peer, phantom_tag(phase), 1, range.len())
+            .map(drop)
+    }
 }
 
 #[cfg(test)]

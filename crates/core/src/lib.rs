@@ -81,41 +81,3 @@ pub use summa::{summa, SummaConfig};
 pub use tsqr::tsqr;
 pub use tuning::tuned_hsumma;
 pub use twodotfive::{twodotfive, TwoDotFiveConfig};
-
-/// Converts a runtime broadcast-algorithm selector into the simulator's,
-/// so executable and simulated configurations stay interchangeable.
-pub fn to_sim_bcast(algo: hsumma_runtime::BcastAlgorithm) -> hsumma_netsim::SimBcast {
-    use hsumma_netsim::SimBcast;
-    use hsumma_runtime::BcastAlgorithm as B;
-    match algo {
-        B::Flat => SimBcast::Flat,
-        B::Binomial => SimBcast::Binomial,
-        B::Binary => SimBcast::Binary,
-        B::Ring => SimBcast::Ring,
-        B::Pipelined { segments } => SimBcast::Pipelined { segments },
-        B::ScatterAllgather => SimBcast::ScatterAllgather,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hsumma_netsim::SimBcast;
-    use hsumma_runtime::BcastAlgorithm;
-
-    #[test]
-    fn bcast_conversion_covers_all_variants() {
-        assert_eq!(to_sim_bcast(BcastAlgorithm::Flat), SimBcast::Flat);
-        assert_eq!(to_sim_bcast(BcastAlgorithm::Binomial), SimBcast::Binomial);
-        assert_eq!(to_sim_bcast(BcastAlgorithm::Binary), SimBcast::Binary);
-        assert_eq!(to_sim_bcast(BcastAlgorithm::Ring), SimBcast::Ring);
-        assert_eq!(
-            to_sim_bcast(BcastAlgorithm::Pipelined { segments: 7 }),
-            SimBcast::Pipelined { segments: 7 }
-        );
-        assert_eq!(
-            to_sim_bcast(BcastAlgorithm::ScatterAllgather),
-            SimBcast::ScatterAllgather
-        );
-    }
-}

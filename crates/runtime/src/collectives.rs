@@ -20,6 +20,12 @@
 //! Reductions, gathers and barriers follow the textbook constructions
 //! (binomial reduce, flat gather, dissemination barrier).
 //!
+//! The broadcast trees and the binomial reduce are written once, in
+//! [`bcast_tree`] and [`reduce_tree`], over the small [`TreeP2p`] link.
+//! The runtime runs them with `Arc`-sharing links below; the simulator,
+//! the schedule recorder and the sparse subsystem run the same trees
+//! with links of their own.
+//!
 //! Every collective returns `Result<_, CommError>`: a blocked rank whose
 //! job deadline passes (or whose job is cancelled, or whose peer dies)
 //! unwinds out of the schedule with the stalled edge named instead of
@@ -27,9 +33,13 @@
 
 use crate::comm::{Comm, INTERNAL_TAG_BASE};
 use crate::message::Tag;
-use hsumma_trace::CommError;
+use hsumma_trace::{CommError, WirePayload};
 use std::any::Any;
+use std::ops::Range;
 use std::sync::Arc;
+
+mod tree;
+pub use tree::{bcast_tree, reduce_tree, Phase, TreeP2p};
 
 pub(crate) const TAG_BARRIER: Tag = INTERNAL_TAG_BASE + 16;
 const TAG_BCAST: Tag = INTERNAL_TAG_BASE + 17;
@@ -82,78 +92,58 @@ pub fn bcast<T: Any + Send + Clone>(
         !algo.needs_segmentation(),
         "{algo:?} needs a sliceable payload; use bcast_f64"
     );
-    let is_root = comm.rank() == root;
-    assert!(value.is_some() || !is_root, "root must supply the value");
-    comm.trace_collective("bcast", algo.name(), root, || match algo {
-        BcastAlgorithm::Flat => bcast_flat(comm, root, value),
-        BcastAlgorithm::Binomial => {
-            // The internal binomial bcast wants a concrete value on every
-            // rank; give non-roots a placeholder they'll overwrite. `Option`
-            // keeps this allocation-free.
-            let v = comm.binomial_bcast_internal(root, TAG_BCAST, value)?;
-            Ok(v.expect("binomial bcast delivered no value"))
-        }
-        BcastAlgorithm::Binary => bcast_binary(comm, root, value),
-        BcastAlgorithm::Ring => bcast_ring(comm, root, value),
-        BcastAlgorithm::Pipelined { .. } | BcastAlgorithm::ScatterAllgather => unreachable!(),
+    assert!(
+        value.is_some() || comm.rank() != root,
+        "root must supply the value"
+    );
+    comm.trace_collective("bcast", algo.name(), root, || {
+        bcast_value(comm, algo, root, TAG_BCAST, value)
     })
 }
 
-fn bcast_flat<T: Any + Send + Clone>(
+/// Broadcasts a whole value under `tag`: the body of [`bcast`] and of
+/// the internal protocols (split, allgather, allreduce). The root
+/// passes `Some`; every rank returns the value.
+pub(crate) fn bcast_value<T: Any + Send + Clone>(
     comm: &Comm,
+    algo: BcastAlgorithm,
     root: usize,
+    tag: Tag,
     value: Option<T>,
 ) -> Result<T, CommError> {
-    if comm.rank() == root {
-        let v = value.expect("root must supply the value");
-        for dst in 0..comm.size() {
-            if dst != root {
-                comm.send_internal(dst, TAG_BCAST, v.clone())?;
-            }
-        }
-        Ok(v)
-    } else {
-        comm.recv_internal(root, TAG_BCAST)
+    let mut link = WholeValue { comm, tag, value };
+    bcast_tree(&mut link, (comm.size(), comm.rank()), algo, root, 0)?;
+    Ok(link.value.expect("bcast delivered no value"))
+}
+
+/// Runtime wire tag of each tree phase.
+fn phase_tag(phase: Phase) -> Tag {
+    match phase {
+        Phase::Bcast => TAG_BCAST,
+        Phase::Pipeline => TAG_PIPELINE,
+        Phase::Scatter => TAG_SCATTER,
+        Phase::Allgather => TAG_ALLGATHER,
+        Phase::Reduce => TAG_REDUCE,
     }
 }
 
-fn bcast_binary<T: Any + Send + Clone>(
-    comm: &Comm,
-    root: usize,
+/// Tree link that moves one whole value under a fixed tag: every edge
+/// ships a clone of the value, and a receive replaces it.
+struct WholeValue<'c, T> {
+    comm: &'c Comm,
+    tag: Tag,
     value: Option<T>,
-) -> Result<T, CommError> {
-    let p = comm.size();
-    let vrank = (comm.rank() + p - root) % p;
-    let value = if vrank == 0 {
-        value.expect("root must supply the value")
-    } else {
-        let parent_v = (vrank - 1) / 2;
-        comm.recv_internal((parent_v + root) % p, TAG_BCAST)?
-    };
-    for child_v in [2 * vrank + 1, 2 * vrank + 2] {
-        if child_v < p {
-            comm.send_internal((child_v + root) % p, TAG_BCAST, value.clone())?;
-        }
-    }
-    Ok(value)
 }
 
-fn bcast_ring<T: Any + Send + Clone>(
-    comm: &Comm,
-    root: usize,
-    value: Option<T>,
-) -> Result<T, CommError> {
-    let p = comm.size();
-    let vrank = (comm.rank() + p - root) % p;
-    let value = if vrank == 0 {
-        value.expect("root must supply the value")
-    } else {
-        comm.recv_internal((vrank - 1 + root) % p, TAG_BCAST)?
-    };
-    if vrank + 1 < p {
-        comm.send_internal((vrank + 1 + root) % p, TAG_BCAST, value.clone())?;
+impl<T: Any + Send + Clone> TreeP2p for WholeValue<'_, T> {
+    fn send(&mut self, _: Phase, peer: usize, _: Range<usize>) -> Result<(), CommError> {
+        let value = self.value.clone().expect("tree sent before it received");
+        self.comm.send_internal(peer, self.tag, value)
     }
-    Ok(value)
+    fn recv(&mut self, _: Phase, peer: usize, _: Range<usize>) -> Result<(), CommError> {
+        self.value = Some(self.comm.recv_internal(peer, self.tag)?);
+        Ok(())
+    }
 }
 
 /// Element range of chunk `i` when `len` elements are dealt over `p`
@@ -178,147 +168,96 @@ pub fn bcast_f64(
     data: &mut [f64],
 ) -> Result<(), CommError> {
     assert!(root < comm.size(), "root out of range");
-    let p = comm.size();
-    if p == 1 {
+    if comm.size() == 1 {
         return Ok(());
     }
-    match algo {
-        BcastAlgorithm::Flat
-        | BcastAlgorithm::Binomial
-        | BcastAlgorithm::Binary
-        | BcastAlgorithm::Ring => {
-            // The payload travels as one `Arc`-shared buffer: the root
-            // materializes a single snapshot and every relay hop forwards
-            // a reference-count bump instead of a deep copy.
-            let value = if comm.rank() == root {
-                comm.count_payload_clone((data.len() * 8) as u64);
-                Some(Arc::new(data.to_vec()))
-            } else {
-                None
-            };
-            let out: Arc<Vec<f64>> = bcast(comm, algo, root, value)?;
-            if comm.rank() != root {
-                data.copy_from_slice(&out);
-            }
-            Ok(())
-        }
-        BcastAlgorithm::Pipelined { segments } => {
-            comm.trace_collective("bcast", algo.name(), root, || {
-                bcast_pipelined(comm, root, data, segments)
-            })
-        }
-        BcastAlgorithm::ScatterAllgather => {
-            comm.trace_collective("bcast", algo.name(), root, || {
-                bcast_scatter_allgather(comm, root, data)
-            })
-        }
-    }
-}
-
-/// Chain pipeline: virtual rank k receives each segment from k−1 and
-/// forwards it to k+1 while already receiving the next one. The root
-/// materializes each segment once; every later hop forwards the same
-/// `Arc`-shared segment it received.
-fn bcast_pipelined(
-    comm: &Comm,
-    root: usize,
-    data: &mut [f64],
-    segments: usize,
-) -> Result<(), CommError> {
-    assert!(segments >= 1, "need at least one segment");
-    let p = comm.size();
-    let vrank = (comm.rank() + p - root) % p;
-    let prev = (vrank + p - 1 + root) % p;
-    let next = (vrank + 1 + root) % p;
-    let segments = segments.min(data.len().max(1));
-    for s in 0..segments {
-        let (lo, hi) = chunk_range(data.len(), segments, s);
-        let received: Option<Arc<Vec<f64>>> = if vrank > 0 {
-            let seg: Arc<Vec<f64>> = comm.recv_internal(prev, TAG_PIPELINE)?;
-            data[lo..hi].copy_from_slice(&seg);
-            Some(seg)
-        } else {
-            None
+    comm.trace_collective("bcast", algo.name(), root, || {
+        let len = data.len();
+        let mut link = SharedF64 {
+            comm,
+            data,
+            held: None,
         };
-        if vrank + 1 < p {
-            let seg = received.unwrap_or_else(|| {
-                comm.count_payload_clone(((hi - lo) * 8) as u64);
-                Arc::new(data[lo..hi].to_vec())
-            });
-            comm.send_internal(next, TAG_PIPELINE, seg)?;
-        }
-    }
-    Ok(())
+        bcast_tree(&mut link, (comm.size(), comm.rank()), algo, root, len)
+    })
 }
 
-/// Van de Geijn long-message broadcast: binomial-tree scatter of the `p`
-/// chunks, then a ring allgather. Bandwidth term `2(p−1)/p·mβ`, latency
-/// `(log₂p + p − 1)α`.
-fn bcast_scatter_allgather(comm: &Comm, root: usize, data: &mut [f64]) -> Result<(), CommError> {
-    let p = comm.size();
-    let len = data.len();
-    let vrank = (comm.rank() + p - root) % p;
-    let to_world = |v: usize| (v + root) % p;
+/// A window onto an `Arc`-shared snapshot: `buf[i]` is element `off + i`
+/// of the broadcast buffer, and the message carries elements `range`.
+/// Its wire size is the range's, however much of the buffer it shares.
+#[derive(Clone)]
+pub(crate) struct SharedRange {
+    buf: Arc<Vec<f64>>,
+    off: usize,
+    range: Range<usize>,
+}
 
-    // --- Binomial scatter ------------------------------------------------
-    // Virtual rank v is responsible for relaying the chunks of virtual
-    // ranks [v, v + extent) where extent is v's lowest set bit (the whole
-    // clipped range for the root). Messages are `(buffer, offset)` pairs:
-    // one `Arc`-shared buffer tagged with the global element index of its
-    // first element, so a relay hands its children a sub-view of the very
-    // buffer it received instead of slicing out fresh copies.
-    let p2 = p.next_power_of_two();
-    let my_extent = if vrank == 0 {
-        p2
-    } else {
-        vrank & vrank.wrapping_neg()
-    };
-    let relay: (Arc<Vec<f64>>, usize) = if vrank == 0 {
-        comm.count_payload_clone((len * 8) as u64);
-        (Arc::new(data.to_vec()), 0)
-    } else {
-        let parent = vrank - my_extent;
-        let hi_v = (vrank + my_extent).min(p);
-        let (lo, _) = chunk_range(len, p, vrank);
-        let (_, hi) = chunk_range(len, p, hi_v - 1);
-        let (buf, off): (Arc<Vec<f64>>, usize) =
-            comm.recv_internal(to_world(parent), TAG_SCATTER)?;
-        data[lo..hi].copy_from_slice(&buf[lo - off..hi - off]);
-        (buf, off)
-    };
-    let mut mask = my_extent >> 1;
-    while mask > 0 {
-        let child = vrank + mask;
-        if child < p {
-            comm.send_internal(to_world(child), TAG_SCATTER, relay.clone())?;
+impl SharedRange {
+    fn covers(&self, r: &Range<usize>) -> bool {
+        self.range.start <= r.start && r.end <= self.range.end
+    }
+    fn narrowed(&self, range: Range<usize>) -> SharedRange {
+        SharedRange {
+            buf: Arc::clone(&self.buf),
+            off: self.off,
+            range,
         }
-        mask >>= 1;
     }
-    drop(relay);
+    fn as_slice(&self) -> &[f64] {
+        &self.buf[self.range.start - self.off..self.range.end - self.off]
+    }
+}
 
-    // --- Ring allgather ---------------------------------------------------
-    // Round k: send chunk (vrank − k) and receive chunk (vrank − k − 1),
-    // both mod p, from the ring neighbours. The chunk received in round k
-    // is exactly the chunk sent in round k+1, so each rank materializes
-    // only its *own* chunk (round 0) and forwards received `Arc`s after.
-    let next = to_world((vrank + 1) % p);
-    let prev = to_world((vrank + p - 1) % p);
-    let mut carry: Option<Arc<Vec<f64>>> = None;
-    for k in 0..p - 1 {
-        let send_chunk = (vrank + p - k) % p;
-        let recv_chunk = (vrank + p - k - 1) % p;
-        let seg = carry.take().unwrap_or_else(|| {
-            let (slo, shi) = chunk_range(len, p, send_chunk);
-            comm.count_payload_clone(((shi - slo) * 8) as u64);
-            Arc::new(data[slo..shi].to_vec())
-        });
-        comm.send_internal(next, TAG_ALLGATHER, seg)?;
-        let seg: Arc<Vec<f64>> = comm.recv_internal(prev, TAG_ALLGATHER)?;
-        let (rlo, rhi) = chunk_range(len, p, recv_chunk);
-        data[rlo..rhi].copy_from_slice(&seg);
-        carry = Some(seg);
+impl WirePayload for SharedRange {
+    fn payload_bytes(&self) -> u64 {
+        (self.range.len() * 8) as u64
     }
-    Ok(())
+}
+
+/// Tree link for [`bcast_f64`]: edges carry [`SharedRange`] views, so a
+/// relay forwards the buffer it received with a reference-count bump
+/// instead of a deep copy. A rank copies out of `data` only when nothing
+/// it received in the current phase covers the range: the root takes
+/// one whole-buffer snapshot, and each allgather ring contribution
+/// materializes just its own chunk.
+struct SharedF64<'c, 'd> {
+    comm: &'c Comm,
+    data: &'d mut [f64],
+    held: Option<(Phase, SharedRange)>,
+}
+
+impl TreeP2p for SharedF64<'_, '_> {
+    fn send(&mut self, phase: Phase, peer: usize, range: Range<usize>) -> Result<(), CommError> {
+        let msg = match &self.held {
+            Some((held_phase, held)) if *held_phase == phase && held.covers(&range) => {
+                held.narrowed(range)
+            }
+            _ => {
+                let span = if phase == Phase::Allgather {
+                    range.clone()
+                } else {
+                    0..self.data.len()
+                };
+                self.comm.count_payload_clone((span.len() * 8) as u64);
+                let snapshot = SharedRange {
+                    buf: Arc::new(self.data[span.clone()].to_vec()),
+                    off: span.start,
+                    range: span,
+                };
+                let msg = snapshot.narrowed(range);
+                self.held = Some((phase, snapshot));
+                msg
+            }
+        };
+        self.comm.send_internal(peer, phase_tag(phase), msg)
+    }
+    fn recv(&mut self, phase: Phase, peer: usize, range: Range<usize>) -> Result<(), CommError> {
+        let msg: SharedRange = self.comm.recv_internal(peer, phase_tag(phase))?;
+        debug_assert_eq!(msg.range, range, "tree edge carried the wrong range");
+        self.data[range].copy_from_slice(msg.as_slice());
+        self.held = Some((phase, msg));
+        Ok(())
+    }
 }
 
 /// Flat gather: every rank's `value` collected at `root` in rank order.
@@ -360,8 +299,7 @@ fn gather_inner<T: Any + Send>(
 pub fn allgather<T: Any + Send + Clone>(comm: &Comm, value: T) -> Result<Vec<T>, CommError> {
     comm.trace_collective("allgather", "gather_bcast", 0, || {
         let gathered = gather_inner(comm, 0, value)?;
-        let v = comm.binomial_bcast_internal(0, TAG_ALLGATHER, gathered)?;
-        Ok(v.expect("allgather bcast delivered no value"))
+        bcast_value(comm, BcastAlgorithm::Binomial, 0, TAG_ALLGATHER, gathered)
     })
 }
 
@@ -371,29 +309,49 @@ pub fn reduce<T: Any + Send>(
     comm: &Comm,
     root: usize,
     value: T,
-    mut combine: impl FnMut(T, T) -> T,
+    combine: impl FnMut(T, T) -> T,
 ) -> Result<Option<T>, CommError> {
     assert!(root < comm.size(), "root out of range");
     comm.trace_collective("reduce", "binomial", root, || {
-        let p = comm.size();
-        let vrank = (comm.rank() + p - root) % p;
-        let to_world = |v: usize| (v + root) % p;
-        let mut acc = value;
-        let mut mask = 1usize;
-        // Mirror image of the binomial broadcast: leaves send first.
-        while mask < p {
-            if vrank & mask != 0 {
-                comm.send_internal(to_world(vrank ^ mask), TAG_REDUCE, acc)?;
-                return Ok(None);
-            }
-            if vrank + mask < p {
-                let child: T = comm.recv_internal(to_world(vrank + mask), TAG_REDUCE)?;
-                acc = combine(acc, child);
-            }
-            mask <<= 1;
-        }
-        Ok(Some(acc))
+        reduce_inner(comm, root, value, combine)
     })
+}
+
+fn reduce_inner<T: Any + Send>(
+    comm: &Comm,
+    root: usize,
+    value: T,
+    combine: impl FnMut(T, T) -> T,
+) -> Result<Option<T>, CommError> {
+    let mut link = Combine {
+        comm,
+        acc: Some(value),
+        combine,
+    };
+    reduce_tree(&mut link, (comm.size(), comm.rank()), root, 0)?;
+    Ok(link.acc)
+}
+
+/// Tree link for [`reduce`]: a receive folds the child's partial result
+/// into the accumulator (in rank order relative to the root), a send
+/// hands the accumulator up.
+struct Combine<'c, T, F> {
+    comm: &'c Comm,
+    acc: Option<T>,
+    combine: F,
+}
+
+impl<T: Any + Send, F: FnMut(T, T) -> T> TreeP2p for Combine<'_, T, F> {
+    fn send(&mut self, phase: Phase, peer: usize, _: Range<usize>) -> Result<(), CommError> {
+        let acc = self.acc.take().expect("reduce sent twice");
+        self.comm.send_internal(peer, phase_tag(phase), acc)
+    }
+    fn recv(&mut self, phase: Phase, peer: usize, _: Range<usize>) -> Result<(), CommError> {
+        let child: T = self.comm.recv_internal(peer, phase_tag(phase))?;
+        let acc = self.acc.take().expect("reduce received after sending");
+        self.acc = Some((self.combine)(acc, child));
+        Ok(())
+    }
 }
 
 /// Reduce to rank 0 then broadcast the result to everyone.
@@ -404,8 +362,7 @@ pub fn allreduce<T: Any + Send + Clone>(
 ) -> Result<T, CommError> {
     comm.trace_collective("allreduce", "reduce_bcast", 0, || {
         let reduced = reduce(comm, 0, value, combine)?;
-        let v = comm.binomial_bcast_internal(0, TAG_REDUCE, reduced)?;
-        Ok(v.expect("allreduce bcast delivered no value"))
+        bcast_value(comm, BcastAlgorithm::Binomial, 0, TAG_REDUCE, reduced)
     })
 }
 
@@ -498,27 +455,19 @@ pub fn alltoall<T: Any + Send>(comm: &Comm, values: Vec<T>) -> Result<Vec<T>, Co
 pub fn reduce_sum_f64(comm: &Comm, root: usize, data: &mut [f64]) -> Result<(), CommError> {
     assert!(root < comm.size(), "root out of range");
     comm.trace_collective("reduce_sum", "binomial", root, || {
-        let p = comm.size();
-        let vrank = (comm.rank() + p - root) % p;
-        let to_world = |v: usize| (v + root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                comm.send_internal(to_world(vrank ^ mask), TAG_REDUCE, data.to_vec())?;
-                return Ok(());
+        let sum = reduce_inner(comm, root, data.to_vec(), |mut acc, child: Vec<f64>| {
+            assert_eq!(
+                child.len(),
+                acc.len(),
+                "reduce buffers must match in length"
+            );
+            for (a, b) in acc.iter_mut().zip(&child) {
+                *a += b;
             }
-            if vrank + mask < p {
-                let child: Vec<f64> = comm.recv_internal(to_world(vrank + mask), TAG_REDUCE)?;
-                assert_eq!(
-                    child.len(),
-                    data.len(),
-                    "reduce buffers must match in length"
-                );
-                for (a, b) in data.iter_mut().zip(&child) {
-                    *a += b;
-                }
-            }
-            mask <<= 1;
+            acc
+        })?;
+        if let Some(sum) = sum {
+            data.copy_from_slice(&sum);
         }
         Ok(())
     })

@@ -7,6 +7,7 @@
 //! reproduces `MPI_Comm_split(color, key)` semantics and is how the
 //! distributed algorithms build row, column and group communicators.
 
+use crate::collectives::{bcast_value, BcastAlgorithm, SharedRange};
 use crate::message::{Context, Envelope, JobCtl, Mailbox, MailboxSender, RecvFault, Tag};
 use crate::stats::CommStats;
 use hsumma_trace::{
@@ -69,11 +70,7 @@ fn payload_bytes_of<T: Any>(value: &T) -> u64 {
     let v = value as &dyn Any;
     if let Some(x) = v.downcast_ref::<Vec<f64>>() {
         x.payload_bytes()
-    } else if let Some(x) = v.downcast_ref::<Arc<Vec<f64>>>() {
-        x.payload_bytes()
-    } else if let Some(x) = v.downcast_ref::<Option<Arc<Vec<f64>>>>() {
-        x.payload_bytes()
-    } else if let Some(x) = v.downcast_ref::<(Arc<Vec<f64>>, usize)>() {
+    } else if let Some(x) = v.downcast_ref::<SharedRange>() {
         x.payload_bytes()
     } else {
         0
@@ -735,18 +732,18 @@ impl Comm {
 
         // Allgather (color, key) over the parent communicator: flat gather
         // to parent rank 0, then binomial broadcast of the table.
-        let table: Vec<(u64, i64)> = if self.my_rank == 0 {
+        let table: Option<Vec<(u64, i64)>> = if self.my_rank == 0 {
             let mut table = vec![(0u64, 0i64); p];
             table[0] = (color, key);
             for (src, slot) in table.iter_mut().enumerate().skip(1) {
                 *slot = self.recv_internal::<(u64, i64)>(src, TAG_SPLIT_GATHER)?;
             }
-            table
+            Some(table)
         } else {
             self.send_internal(0, TAG_SPLIT_GATHER, (color, key))?;
-            Vec::new()
+            None
         };
-        let table = self.binomial_bcast_internal(0, TAG_SPLIT_BCAST, table)?;
+        let table = bcast_value(self, BcastAlgorithm::Binomial, 0, TAG_SPLIT_BCAST, table)?;
 
         // My group: parent ranks with my color, sorted by (key, parent rank).
         let mut group: Vec<usize> = (0..p).filter(|&r| table[r].0 == color).collect();
@@ -770,45 +767,6 @@ impl Comm {
         let e = self.derive_epoch.get() + 1;
         self.derive_epoch.set(e);
         e
-    }
-
-    /// Binomial-tree broadcast used by internal protocols (also the
-    /// building block the public `bcast` reuses via `collectives`).
-    ///
-    /// The tree is the simulator's: in round `mask = 1, 2, 4, …` every
-    /// virtual rank `v < mask` sends to `v + mask`, i.e. each rank
-    /// receives from its virtual rank with the highest set bit cleared.
-    /// Keeping the two substrates on the *same* tree is what lets traces
-    /// of real and simulated runs be compared message-for-message.
-    pub(crate) fn binomial_bcast_internal<T: Any + Send + Clone>(
-        &self,
-        root: usize,
-        tag: Tag,
-        mut value: T,
-    ) -> Result<T, CommError> {
-        let p = self.size();
-        if p == 1 {
-            return Ok(value);
-        }
-        // Re-index so the root is virtual rank 0.
-        let vrank = (self.my_rank + p - root) % p;
-        if vrank != 0 {
-            // Receive from our virtual rank with the highest bit cleared.
-            let high = 1usize << (usize::BITS - 1 - vrank.leading_zeros());
-            let src = ((vrank - high) + root) % p;
-            value = self.recv_internal(src, tag)?;
-        }
-        // Relay in every later round: all masks strictly above our own
-        // virtual rank (the root participates from mask 1).
-        let mut mask = 1usize;
-        while mask < p {
-            if mask > vrank && vrank + mask < p {
-                let dst = (vrank + mask + root) % p;
-                self.send_internal(dst, tag, value.clone())?;
-            }
-            mask <<= 1;
-        }
-        Ok(value)
     }
 
     /// A handle that raises this job's cancellation flag from any thread.

@@ -13,21 +13,23 @@
 //!   wire format, so the Hockney charge `α + β·bytes` sees the same
 //!   non-uniform message sizes the real substrate ships.
 //!
-//! [`bcast_sp`] is the one sparse collective: a highest-bit binomial
-//! tree (the same tree the dense collectives use) written once over
-//! `send_sp`/`recv_sp`, so per-rank `(src, dst, bytes)` multisets agree
-//! across substrates by construction. Its messages travel under
-//! *user-level* tags (the step index), which keeps them fault-eligible:
-//! a `FaultPlan` can drop an in-flight sparse panel broadcast on either
-//! substrate and hit the same message.
+//! [`bcast_sp`] is the one sparse collective: the dense collectives'
+//! binomial tree, run over `send_sp`/`recv_sp`, so per-rank
+//! `(src, dst, bytes)` multisets agree across substrates by
+//! construction. Its messages travel under *user-level* tags (the step
+//! index), which keeps them fault-eligible: a `FaultPlan` can drop an
+//! in-flight sparse panel broadcast on either substrate and hit the same
+//! message.
 
 use crate::phantom::PhantomSparse;
 use hsumma_core::Communicator;
 use hsumma_matrix::sparse::{CsrMatrix, SpGemmAcc};
 use hsumma_matrix::Matrix;
 use hsumma_netsim::spmd::SimComm;
-use hsumma_runtime::{Comm, CommError};
+use hsumma_runtime::collectives::{bcast_tree, Phase, TreeP2p};
+use hsumma_runtime::{BcastAlgorithm, Comm, CommError};
 use hsumma_trace::WirePayload;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The sparse-panel payload: enough structure to slice pivot panels out
@@ -283,11 +285,10 @@ impl SparseComm for SimComm<'_> {
     }
 }
 
-/// Broadcasts a sparse panel of globally-known shape from `root`:
-/// the highest-bit binomial tree (virtual rank `v` receives from `v`
-/// with its highest set bit cleared, then relays at successive masks),
-/// written once over [`SparseComm::send_sp`]/[`SparseComm::recv_sp`] —
-/// the per-rank message multiset is substrate-identical by construction.
+/// Broadcasts a sparse panel of globally-known shape from `root` down
+/// the binomial tree of `hsumma_runtime::collectives::bcast_tree` (the
+/// tree the dense collectives use), moving it with
+/// [`SparseComm::send_sp`]/[`SparseComm::recv_sp`].
 ///
 /// The root passes `Some(panel)`, everyone else `None` and receives.
 /// Relays forward the payload they received: the real substrate shares
@@ -304,25 +305,42 @@ pub fn bcast_sp<C: SparseComm>(
     cols: usize,
     panel: Option<C::Sp>,
 ) -> Result<C::Sp, CommError> {
-    let p = comm.size();
-    let me = comm.rank();
-    let vrank = (me + p - root) % p;
-    let unvirt = |v: usize| (v + root) % p;
-    let panel = if vrank == 0 {
-        panel.expect("the broadcast root must supply the panel")
+    if comm.rank() == root {
+        assert!(panel.is_some(), "the broadcast root must supply the panel");
     } else {
         assert!(panel.is_none(), "only the broadcast root supplies a panel");
-        let high = 1usize << (usize::BITS - 1 - vrank.leading_zeros());
-        comm.recv_sp(unvirt(vrank - high), tag, rows, cols)?
-    };
-    let mut mask = 1usize;
-    while mask < p {
-        if mask > vrank && vrank + mask < p {
-            comm.send_sp(unvirt(vrank + mask), tag, &panel)?;
-        }
-        mask <<= 1;
     }
-    Ok(panel)
+    let mut link = PanelLink {
+        comm,
+        tag,
+        rows,
+        cols,
+        panel,
+    };
+    let shape = (comm.size(), comm.rank());
+    bcast_tree(&mut link, shape, BcastAlgorithm::Binomial, root, 0)?;
+    Ok(link.panel.expect("bcast delivered no panel"))
+}
+
+/// Tree link of [`bcast_sp`]: every edge moves the whole panel under the
+/// caller's step tag, whatever the tree phase.
+struct PanelLink<'c, C: SparseComm> {
+    comm: &'c C,
+    tag: u64,
+    rows: usize,
+    cols: usize,
+    panel: Option<C::Sp>,
+}
+
+impl<C: SparseComm> TreeP2p for PanelLink<'_, C> {
+    fn send(&mut self, _: Phase, peer: usize, _: Range<usize>) -> Result<(), CommError> {
+        let panel = self.panel.as_ref().expect("tree sent before it received");
+        self.comm.send_sp(peer, self.tag, panel)
+    }
+    fn recv(&mut self, _: Phase, peer: usize, _: Range<usize>) -> Result<(), CommError> {
+        self.panel = Some(self.comm.recv_sp(peer, self.tag, self.rows, self.cols)?);
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Both substrates reserve tags at and above this bit for internal /
-/// collective traffic (the simulator's `SIM_TAG_*` start at `1 << 62`,
+/// collective traffic (the simulator's collective tags start at `1 << 62`,
 /// the runtime's internal tags at `1 << 63`); application point-to-point
 /// tags live below it. [`TagClass`] uses this boundary so a fault rule
 /// written against "collective traffic" matches the same messages on

@@ -175,9 +175,8 @@ fn real_and_sim_hsumma_emit_identical_payload_multisets() {
 // runs the *same generic function* on both substrates — real `Matrix`
 // payloads over threads, `PhantomMat` over simulated clocks — and
 // demands identical per-rank `(src, dst, bytes)` send multisets.
-// Broadcasts are pinned to Binomial where configurable: relayed trees
-// move the same wire bytes on both substrates, while scatter-allgather's
-// real segmentation differs from the simulator's subtree accounting.
+// Broadcasts are pinned to Binomial where configurable; every tree is
+// covered on its own by the collective parity test at the end.
 // ---------------------------------------------------------------------
 
 use hsumma_repro::core::{
@@ -630,4 +629,135 @@ fn model_and_simulator_agree_on_who_wins() {
         sim_hsumma_wins, model_hsumma_wins,
         "simulator (win={sim_hsumma_wins}) and model (win={model_hsumma_wins}) disagree"
     );
+}
+
+// ---------------------------------------------------------------------
+// One copy of each collective tree. The runtime, the threaded simulator
+// and a recorded event-loop replay all run the trees of
+// `runtime::collectives`, so every broadcast algorithm and the binomial
+// reduce must move the same per-rank messages on all three, including
+// at rank counts that are not powers of two and from roots other than 0.
+// ---------------------------------------------------------------------
+
+use hsumma_repro::core::simdrive::{hsumma_program, record_hsumma, replay_on};
+use hsumma_repro::core::Communicator;
+use hsumma_repro::netsim::{record, RecordedProgram, SimWorld};
+use hsumma_repro::runtime::collectives::bcast_f64;
+use hsumma_repro::runtime::CommError;
+
+/// A broadcast with `algo`, or the binomial sum reduction for `None`.
+fn collective<C: Communicator>(
+    comm: &C,
+    algo: Option<BcastAlgorithm>,
+    root: usize,
+    mat: &mut C::Mat,
+) -> Result<(), CommError> {
+    match algo {
+        Some(algo) => comm.bcast_mat(algo, root, mat),
+        None => comm.reduce_sum_mat(root, mat),
+    }
+}
+
+/// Replays a recorded program on the event loop with a tracer attached
+/// to the same network hooks the threaded simulator uses.
+fn replay_trace(prog: &RecordedProgram) -> Trace {
+    let tracer = Tracer::new(prog.ranks());
+    let mut net = SimNet::new(prog.ranks(), Platform::grid5000().net);
+    net.attach_tracer(&tracer);
+    replay_on(&mut net, 0.0, prog);
+    tracer.collect()
+}
+
+fn assert_three_engines_agree(real: &Trace, sim: &Trace, replay: &Trace, what: &str) {
+    assert_same_sends(real, sim, what);
+    assert_eq!(
+        sim.per_rank_send_multisets(),
+        replay.per_rank_send_multisets(),
+        "{what}: the threaded simulator and the replay moved different messages"
+    );
+}
+
+#[test]
+fn every_collective_tree_moves_identical_messages_on_runtime_sim_and_replay() {
+    let algos = [
+        Some(BcastAlgorithm::Flat),
+        Some(BcastAlgorithm::Binomial),
+        Some(BcastAlgorithm::Binary),
+        Some(BcastAlgorithm::Ring),
+        Some(BcastAlgorithm::Pipelined { segments: 3 }),
+        Some(BcastAlgorithm::ScatterAllgather),
+        None,
+    ];
+    // 96 elements deal unevenly over 5 ranks; 7 leave empty chunks at 8.
+    for (rows, cols) in [(4usize, 24usize), (1, 7)] {
+        for p in [5usize, 6, 8] {
+            for root in [1, p - 1] {
+                for algo in algos {
+                    let what = format!("{algo:?} p={p} root={root} {rows}x{cols}");
+                    let real = real_trace_p(p, |comm| {
+                        let mut m = seeded_uniform(rows, cols, 5);
+                        collective(comm, algo, root, &mut m).unwrap();
+                    });
+                    let sim = sim_trace(p, |comm| {
+                        let mut m = PhantomMat { rows, cols };
+                        collective(comm, algo, root, &mut m).unwrap();
+                    });
+                    let prog = record(p, false, |comm| {
+                        collective(comm, algo, root, &mut PhantomMat { rows, cols })
+                    });
+                    assert_three_engines_agree(&real, &sim, &replay_trace(&prog), &what);
+                }
+            }
+        }
+    }
+
+    // And inside a whole schedule: HSUMMA with van de Geijn at both levels.
+    let grid = GridShape::new(4, 4);
+    let groups = GridShape::new(2, 2);
+    let (n, bb, bs) = (32usize, 8usize, 4usize);
+    let vdg = BcastAlgorithm::ScatterAllgather;
+    let dist = BlockDist::new(grid, n, n);
+    let at = dist.scatter(&seeded_uniform(n, n, 8));
+    let bt = dist.scatter(&seeded_uniform(n, n, 9));
+    let cfg = HsummaConfig {
+        outer_block: bb,
+        inner_block: bs,
+        outer_bcast: vdg,
+        inner_bcast: vdg,
+        kernel: GemmKernel::Blocked,
+        ..HsummaConfig::uniform(groups, bb)
+    };
+    let real = real_trace(grid, |comm| {
+        hsumma(comm, grid, n, &at[comm.rank()], &bt[comm.rank()], &cfg).unwrap();
+    });
+    let sim = sim_trace(grid.size(), |comm| {
+        hsumma_program(comm, grid, groups, n, bb, bs, vdg, vdg).unwrap();
+    });
+    let prog = record_hsumma(grid, groups, n, bb, bs, vdg, vdg, false);
+    assert_three_engines_agree(&real, &sim, &replay_trace(&prog), "hsumma vdG/vdG");
+}
+
+#[test]
+fn runtime_vdg_bytes_sent_equal_the_simulated_wire_bytes() {
+    // p = 8, root 0, 96 elements: scatter 1,152 B plus allgather 5,376 B.
+    let (p, elems) = (8usize, 96usize);
+    let vdg = BcastAlgorithm::ScatterAllgather;
+    let real: u64 = Runtime::run(p, |comm| {
+        comm.reset_stats();
+        let mut buf = vec![1.5; elems];
+        bcast_f64(comm, vdg, 0, &mut buf).unwrap();
+        comm.stats().bytes_sent
+    })
+    .iter()
+    .sum();
+    let net = SimNet::new(p, Platform::grid5000().net);
+    let (net, _) = SimWorld::run(net, 0.0, false, |comm| {
+        let mut m = PhantomMat {
+            rows: 1,
+            cols: elems,
+        };
+        comm.bcast_mat(vdg, 0, &mut m).unwrap();
+    });
+    assert_eq!(real, net.report().bytes);
+    assert_eq!(real, 6_528);
 }
