@@ -38,7 +38,7 @@ use hsumma_core::{CosmaConfig, SimEngine};
 use hsumma_matrix::GridShape;
 use hsumma_model::predict::{best_point, power_of_two_gs, sweep_groups};
 use hsumma_model::{cosma_volume, BcastModel, BrickShape, ModelParams};
-use hsumma_netsim::{Platform, SimBcast, SimNet};
+use hsumma_netsim::{Op, Platform, SimBcast, SimNet};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -53,6 +53,8 @@ struct ScaleRow {
     n: usize,
     shape: BrickShape,
     ops: usize,
+    /// Size of the recorded op programs, `ops · size_of::<Op>()`, in MiB.
+    program_mb: f64,
     sim_bytes: u64,
     model_bytes: f64,
     rel_err: f64,
@@ -84,6 +86,7 @@ fn replay_cosma(platform: &Platform, label: &'static str, p: usize, n: usize) ->
         n,
         shape,
         ops,
+        program_mb: (ops * std::mem::size_of::<Op>()) as f64 / (1u64 << 20) as f64,
         sim_bytes: report.bytes,
         model_bytes,
         rel_err,
@@ -202,6 +205,7 @@ fn main() {
                 format!("{}", r.n),
                 format!("{}x{}x{}", r.shape.a, r.shape.b, r.shape.c),
                 format!("{}", r.ops),
+                format!("{:.0}", r.program_mb),
                 format!("{:.2}", r.sim_bytes as f64 / 1e12),
                 format!("{:.2}%", r.rel_err * 100.0),
                 secs(r.makespan_s),
@@ -212,7 +216,10 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["point", "p", "n", "bricks", "ops", "sim TB", "vol err", "model s", "wall s"],
+            &[
+                "point", "p", "n", "bricks", "ops", "prog MB", "sim TB", "vol err", "model s",
+                "wall s"
+            ],
             &table
         )
     );
@@ -322,13 +329,15 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = write!(
         json,
-        "  \"smoke\": {smoke},\n  \"platform\": \"bluegene_p\",\n  \"cosma_replay\": [\n"
+        "  \"smoke\": {smoke},\n  \"platform\": \"bluegene_p\",\n  \"host_cores\": {},\n  \
+         \"cosma_replay\": [\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
             "    {{\"label\": \"{}\", \"p\": {}, \"n\": {}, \"bricks\": \"{}x{}x{}\", \
-             \"ops\": {}, \"sim_bytes\": {}, \"model_bytes\": {:.0}, \
+             \"ops\": {}, \"program_mb\": {:.1}, \"sim_bytes\": {}, \"model_bytes\": {:.0}, \
              \"volume_rel_err\": {:.6}, \"model_makespan_s\": {:.6}, \"wall_s\": {:.3}}}{}",
             r.label,
             r.p,
@@ -337,6 +346,7 @@ fn main() {
             r.shape.b,
             r.shape.c,
             r.ops,
+            r.program_mb,
             r.sim_bytes,
             r.model_bytes,
             r.rel_err,

@@ -33,6 +33,7 @@
 //! including under [`NoiseModel`] jitter, whose draws are keyed by
 //! `(sender, message index)` rather than a global sequence.
 
+mod fasthash;
 pub mod model;
 pub mod record;
 pub mod replay;

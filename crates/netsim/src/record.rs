@@ -39,27 +39,31 @@
 //! The blocking-wait pipeline (`summa_overlap`) records fine — its
 //! schedule is a fixed sequence of starts and waits.
 
+use crate::fasthash::FastMap;
 use hsumma_trace::{CommEdge, CommError};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One recorded operation of one rank's program. Peers are **world**
 /// ranks (communicator-local ranks are resolved at record time), and
 /// point-to-point endpoints are addressed through a channel id that
-/// interns the `(communicator, tag)` pair — a `u32` per side keeps the
-/// op compact (~24 bytes), which is what bounds recording memory at
-/// `total ops · 24 B`.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// interns the `(communicator, tag)` pair. Payload sizes and compute
+/// charges are interned too, as `u32` indices into
+/// [`RecordedProgram`]'s tables, so every variant fits in 16 bytes —
+/// which is what bounds recording memory at `total ops · 16 B`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
-    /// Send `bytes` to world rank `dst` on channel `chan`.
-    Send { chan: u32, dst: u32, bytes: u64 },
+    /// Send the payload of size-table entry `size` to world rank `dst`
+    /// on channel `chan`.
+    Send { chan: u32, dst: u32, size: u32 },
     /// Receive the next message from world rank `src` on channel `chan`.
-    /// `bytes` is the expected payload size, checked at replay —
-    /// `u64::MAX` means unchecked (collective internals discard sizes).
-    Recv { chan: u32, src: u32, bytes: u64 },
-    /// Charge `γ · pairs` seconds of local compute (stamped `flops`).
-    Compute { pairs: f64, flops: u64 },
+    /// Size-table entry `size` is the expected payload size, checked at
+    /// replay — an entry of `u64::MAX` means unchecked (collective
+    /// internals discard sizes).
+    Recv { chan: u32, src: u32, size: u32 },
+    /// Charge-table entry `charge`: `γ · pairs` seconds of local compute
+    /// (stamped `flops`).
+    Compute { charge: u32 },
     /// Group barrier number `seq` on communicator `comm`.
     Barrier { comm: u32, seq: u32 },
     /// Split rendezvous number `seq` on communicator `comm`. Pure
@@ -73,6 +77,8 @@ pub enum Op {
     StepPop,
 }
 
+const _: () = assert!(std::mem::size_of::<Op>() <= 16);
+
 /// The output of [`record`]: one flat op program per world rank, plus the
 /// interning tables the ops index into. Platform-independent — the same
 /// recording replays under any Hockney parameters, topology, noise seed,
@@ -84,6 +90,10 @@ pub struct RecordedProgram {
     /// retained so fault-plan rules (which match on tag class) apply at
     /// replay exactly as they would on the live substrates.
     pub(crate) chans: Vec<(u32, u64)>,
+    /// Size id → payload bytes (`u64::MAX`: an unchecked receive).
+    pub(crate) sizes: Vec<u64>,
+    /// Charge id → `(multiply-add pairs, flops)` of a compute op.
+    pub(crate) charges: Vec<(f64, u64)>,
     /// Communicator id → world ranks of its members, in rank order.
     /// Id 0 is the world.
     pub(crate) comms: Vec<Arc<Vec<usize>>>,
@@ -96,7 +106,8 @@ impl RecordedProgram {
     }
 
     /// Total recorded operations across all ranks — the recording's
-    /// memory footprint is this times ~24 bytes.
+    /// memory footprint is this times `size_of::<Op>()` (16 bytes), plus
+    /// the small interning tables.
     pub fn total_ops(&self) -> usize {
         self.programs.iter().map(Vec::len).sum()
     }
@@ -108,38 +119,78 @@ impl RecordedProgram {
     }
 }
 
+/// Assigns dense `u32` ids to distinct keys, in first-seen order.
+struct Interner<K> {
+    ids: FastMap<K, u32>,
+    keys: Vec<K>,
+}
+
+impl<K: Copy + Eq + std::hash::Hash> Interner<K> {
+    fn new() -> Self {
+        Interner {
+            ids: FastMap::default(),
+            keys: Vec::new(),
+        }
+    }
+
+    fn id(&mut self, key: K) -> u32 {
+        let keys = &mut self.keys;
+        *self.ids.entry(key).or_insert_with(|| {
+            let id = u32::try_from(keys.len()).expect("interning table outgrew u32 ids");
+            keys.push(key);
+            id
+        })
+    }
+}
+
 /// One in-progress split rendezvous: `(color, key)` deposits by parent
 /// rank, and (once every member has deposited and a pass boundary
-/// resolved it) the child communicator id per color.
+/// resolved it) each parent rank's place in its child communicator.
 struct SplitRec {
     deposits: Vec<Option<(u64, i64)>>,
-    resolved: Option<HashMap<u64, u32>>,
+    /// Members that have not deposited yet.
+    missing: usize,
+    /// Parent rank → `(child communicator id, rank in the child)`.
+    placement: Option<Vec<(u32, u32)>>,
 }
 
 /// Shared recording state, threaded through every [`RecordComm`] handle
 /// of the rank currently being recorded.
 struct RecordState {
     step_sync: bool,
-    /// The current rank's op buffer (reset per pass).
+    /// The current rank's op buffer (cleared per pass, capacity kept).
     ops: Vec<Op>,
     /// Raised when the current rank aborted at an unresolved split; the
     /// driver distinguishes this expected abort from a real error.
     stalled: bool,
+    /// Channel id → `(communicator id, wire tag)`.
     chans: Vec<(u32, u64)>,
-    chan_ids: HashMap<(u32, u64), u32>,
+    /// Communicator id → (wire tag → channel id). One small map per
+    /// communicator keeps a rank's lookups within the maps of its own
+    /// few communicators; a single table of every channel (COSMA at
+    /// p = 2¹⁶ has 130K) misses cache on nearly every op.
+    chan_ids: Vec<FastMap<u64, u32>>,
+    sizes: Interner<u64>,
+    /// Keyed by the bits of `pairs`, so interning is bit-exact.
+    charges: Interner<(u64, u64)>,
     comms: Vec<Arc<Vec<usize>>>,
-    splits: HashMap<(u32, u64), SplitRec>,
+    splits: FastMap<(u32, u64), SplitRec>,
 }
 
 impl RecordState {
     fn chan(&mut self, comm: u32, tag: u64) -> u32 {
-        if let Some(&id) = self.chan_ids.get(&(comm, tag)) {
-            return id;
-        }
-        let id = u32::try_from(self.chans.len()).expect("too many channels");
-        self.chans.push((comm, tag));
-        self.chan_ids.insert((comm, tag), id);
-        id
+        let chans = &mut self.chans;
+        *self.chan_ids[comm as usize].entry(tag).or_insert_with(|| {
+            let id = u32::try_from(chans.len()).expect("too many channels");
+            chans.push((comm, tag));
+            id
+        })
+    }
+
+    /// Registers the next communicator id's members.
+    fn add_comm(&mut self, members: Vec<usize>) {
+        self.comms.push(Arc::new(members));
+        self.chan_ids.push(FastMap::default());
     }
 
     /// Resolves every fully-deposited, still-unresolved split, in
@@ -147,47 +198,48 @@ impl RecordState {
     /// communicator ids do not depend on the pass's rank iteration.
     /// Mirrors the SPMD world's resolution exactly: colors sorted and
     /// deduplicated, members ordered by `(key, parent rank)`, one fresh
-    /// communicator per color in color order. Returns how many
-    /// rendezvous were resolved.
+    /// communicator per color in color order — obtained by sorting the
+    /// `(color, key, parent rank)` triples once and cutting the sorted
+    /// run at each color change, O(p log p) per rendezvous. Returns how
+    /// many rendezvous were resolved.
     fn resolve_splits(&mut self) -> usize {
         let mut ready: Vec<(u32, u64)> = self
             .splits
             .iter()
-            .filter(|(_, s)| s.resolved.is_none() && s.deposits.iter().all(Option::is_some))
+            .filter(|(_, s)| s.placement.is_none() && s.missing == 0)
             .map(|(&k, _)| k)
             .collect();
         ready.sort_unstable();
         for &(parent, epoch) in &ready {
             let parent_members = Arc::clone(&self.comms[parent as usize]);
-            let table: Vec<(u64, i64)> = self.splits[&(parent, epoch)]
+            let rec = &self.splits[&(parent, epoch)];
+            let mut order: Vec<(u64, i64, usize)> = rec
                 .deposits
                 .iter()
-                .map(|d| d.unwrap())
+                .enumerate()
+                .map(|(parent_rank, d)| {
+                    let (color, key) = d.expect("resolved split has every deposit");
+                    (color, key, parent_rank)
+                })
                 .collect();
-            let mut colors: Vec<u64> = table.iter().map(|&(c, _)| c).collect();
-            colors.sort_unstable();
-            colors.dedup();
-            let mut children = HashMap::new();
-            for &c in &colors {
-                let mut members: Vec<(i64, usize)> = table
+            order.sort_unstable();
+            let mut placement = vec![(0, 0); order.len()];
+            for group in order.chunk_by(|a, b| a.0 == b.0) {
+                let id = u32::try_from(self.comms.len()).expect("too many communicators");
+                let world: Vec<usize> = group
                     .iter()
                     .enumerate()
-                    .filter(|&(_, &(mc, _))| mc == c)
-                    .map(|(parent_rank, &(_, k))| (k, parent_rank))
+                    .map(|(child_rank, &(_, _, parent_rank))| {
+                        placement[parent_rank] = (id, child_rank as u32);
+                        parent_members[parent_rank]
+                    })
                     .collect();
-                members.sort_unstable();
-                let world: Vec<usize> = members
-                    .into_iter()
-                    .map(|(_, parent_rank)| parent_members[parent_rank])
-                    .collect();
-                let id = u32::try_from(self.comms.len()).expect("too many communicators");
-                self.comms.push(Arc::new(world));
-                children.insert(c, id);
+                self.add_comm(world);
             }
             self.splits
                 .get_mut(&(parent, epoch))
                 .expect("rendezvous vanished")
-                .resolved = Some(children);
+                .placement = Some(placement);
         }
         ready.len()
     }
@@ -228,10 +280,11 @@ impl<'r> RecordComm<'r> {
         let dst_w = self.members[dst] as u32;
         let mut st = self.st.borrow_mut();
         let chan = st.chan(self.comm, tag);
+        let size = st.sizes.id(bytes);
         st.ops.push(Op::Send {
             chan,
             dst: dst_w,
-            bytes,
+            size,
         });
         Ok(())
     }
@@ -257,17 +310,20 @@ impl<'r> RecordComm<'r> {
         let src_w = self.members[src] as u32;
         let mut st = self.st.borrow_mut();
         let chan = st.chan(self.comm, tag);
+        let size = st.sizes.id(bytes);
         st.ops.push(Op::Recv {
             chan,
             src: src_w,
-            bytes,
+            size,
         });
     }
 
     /// Records a compute charge of `pairs` multiply-add pairs (stamped
     /// with `flops` for the trace), mirroring `SimComm::compute`.
     pub fn compute(&self, pairs: f64, flops: u64) {
-        self.st.borrow_mut().ops.push(Op::Compute { pairs, flops });
+        let mut st = self.st.borrow_mut();
+        let charge = st.charges.id((pairs.to_bits(), flops));
+        st.ops.push(Op::Compute { charge });
     }
 
     /// Records a pivot-step span around `f`.
@@ -323,10 +379,14 @@ impl<'r> RecordComm<'r> {
         let mut st = self.st.borrow_mut();
         let entry = st.splits.entry(rkey).or_insert_with(|| SplitRec {
             deposits: vec![None; group],
-            resolved: None,
+            missing: group,
+            placement: None,
         });
         match entry.deposits[self.my_rank] {
-            None => entry.deposits[self.my_rank] = Some((color, key)),
+            None => {
+                entry.deposits[self.my_rank] = Some((color, key));
+                entry.missing -= 1;
+            }
             Some(prev) => assert_eq!(
                 prev,
                 (color, key),
@@ -334,7 +394,7 @@ impl<'r> RecordComm<'r> {
                  the schedule is not deterministic and cannot be recorded"
             ),
         }
-        let Some(children) = entry.resolved.as_ref() else {
+        let Some(placement) = entry.placement.as_ref() else {
             st.stalled = true;
             // Sentinel abort: the driver re-runs this rank once the
             // rendezvous resolves. `Cancelled` (not `Timeout`) so a
@@ -351,17 +411,15 @@ impl<'r> RecordComm<'r> {
                 op: "split",
             });
         };
-        let child = children[&color];
+        let (child, my_rank) = placement[self.my_rank];
         st.ops.push(Op::Split {
             comm: self.comm,
             seq: epoch as u32,
         });
         let members = Arc::clone(&st.comms[child as usize]);
         drop(st);
-        let my_rank = members
-            .iter()
-            .position(|&w| w == me_w)
-            .expect("caller must be a member of its own color group");
+        let my_rank = my_rank as usize;
+        debug_assert_eq!(members[my_rank], me_w);
         Ok(RecordComm {
             st: self.st,
             comm: child,
@@ -403,9 +461,11 @@ where
         ops: Vec::new(),
         stalled: false,
         chans: Vec::new(),
-        chan_ids: HashMap::new(),
+        chan_ids: vec![FastMap::default()],
+        sizes: Interner::new(),
+        charges: Interner::new(),
         comms: vec![Arc::clone(&world)],
-        splits: HashMap::new(),
+        splits: FastMap::default(),
     });
     let mut programs: Vec<Option<Vec<Op>>> = (0..p).map(|_| None).collect();
     loop {
@@ -416,7 +476,7 @@ where
             }
             {
                 let mut s = st.borrow_mut();
-                s.ops = Vec::new();
+                s.ops.clear();
                 s.stalled = false;
             }
             let comm = RecordComm {
@@ -429,7 +489,9 @@ where
             };
             match f(&comm) {
                 Ok(()) => {
-                    *slot = Some(std::mem::take(&mut st.borrow_mut().ops));
+                    // A clone is allocated at exactly the program's
+                    // length; the scratch buffer keeps its capacity.
+                    *slot = Some(st.borrow().ops.clone());
                     completed_this_pass += 1;
                 }
                 Err(e) => {
@@ -454,6 +516,13 @@ where
     RecordedProgram {
         programs: programs.into_iter().map(Option::unwrap).collect(),
         chans: st.chans,
+        sizes: st.sizes.keys,
+        charges: st
+            .charges
+            .keys
+            .into_iter()
+            .map(|(pairs, flops)| (f64::from_bits(pairs), flops))
+            .collect(),
         comms: st.comms,
     }
 }
@@ -461,6 +530,41 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// An op with its size and charge indices looked up in the
+    /// program's tables.
+    #[derive(Debug, PartialEq)]
+    enum Decoded {
+        Send { chan: u32, dst: u32, bytes: u64 },
+        Recv { chan: u32, src: u32, bytes: u64 },
+        Compute { pairs: f64, flops: u64 },
+        Other(Op),
+    }
+
+    /// Rank `r`'s program, decoded through the interning tables.
+    fn decoded(prog: &RecordedProgram, r: usize) -> Vec<Decoded> {
+        prog.programs[r]
+            .iter()
+            .map(|&op| match op {
+                Op::Send { chan, dst, size } => Decoded::Send {
+                    chan,
+                    dst,
+                    bytes: prog.sizes[size as usize],
+                },
+                Op::Recv { chan, src, size } => Decoded::Recv {
+                    chan,
+                    src,
+                    bytes: prog.sizes[size as usize],
+                },
+                Op::Compute { charge } => {
+                    let (pairs, flops) = prog.charges[charge as usize];
+                    Decoded::Compute { pairs, flops }
+                }
+                other => Decoded::Other(other),
+            })
+            .collect()
+    }
 
     #[test]
     fn point_to_point_records_world_ranks_and_bytes() {
@@ -474,22 +578,24 @@ mod tests {
         });
         assert_eq!(prog.ranks(), 2);
         assert_eq!(
-            prog.programs[0],
-            vec![Op::Send {
+            decoded(&prog, 0),
+            vec![Decoded::Send {
                 chan: 0,
                 dst: 1,
                 bytes: 1000
             }]
         );
         assert_eq!(
-            prog.programs[1],
-            vec![Op::Recv {
+            decoded(&prog, 1),
+            vec![Decoded::Recv {
                 chan: 0,
                 src: 0,
                 bytes: 1000
             }]
         );
         assert_eq!(prog.chans, vec![(0, 7)]);
+        // Both sides share the one interned size.
+        assert_eq!(prog.sizes, vec![1000]);
     }
 
     #[test]
@@ -543,15 +649,78 @@ mod tests {
             Ok(())
         });
         assert_eq!(
-            prog.programs[0],
+            decoded(&prog, 0),
             vec![
-                Op::Compute {
+                Decoded::Compute {
                     pairs: 10.0,
                     flops: 20
                 },
-                Op::Barrier { comm: 0, seq: 0 }
+                Decoded::Other(Op::Barrier { comm: 0, seq: 0 })
             ]
         );
+    }
+
+    /// The resolution the SPMD world specifies, written the obvious
+    /// way: colors sorted, each color's members ordered by
+    /// `(key, parent rank)`, one child per color in color order.
+    /// Returns each child's members as parent ranks.
+    fn naive_split(deposits: &[(u64, i64)]) -> Vec<Vec<usize>> {
+        let mut colors: Vec<u64> = deposits.iter().map(|d| d.0).collect();
+        colors.sort_unstable();
+        colors.dedup();
+        colors
+            .iter()
+            .map(|&c| {
+                let mut members: Vec<(i64, usize)> = deposits
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, d)| d.0 == c)
+                    .map(|(r, d)| (d.1, r))
+                    .collect();
+                members.sort_unstable();
+                members.into_iter().map(|(_, r)| r).collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn split_resolution_matches_the_naive_reference(
+            raw in prop::collection::vec((0u64..u64::MAX, -4i64..4), 1..4097),
+            spread in 1u64..4097,
+        ) {
+            // At most `spread` distinct colors, scattered over the whole
+            // u64 range; keys collide often, so ties fall to the parent
+            // rank.
+            let deposit = |w: usize| {
+                let (c, k) = raw[w];
+                ((c % spread).wrapping_mul(0x9E37_79B9_7F4A_7C15), k)
+            };
+            let p = raw.len();
+            // Split the world into reversed even/odd halves, then split
+            // each half by the random deposits: the second level checks
+            // parent-rank → world-rank mapping and the id order across
+            // rendezvous resolved in the same pass.
+            let prog = record(p, false, |comm| {
+                let half = comm.split((comm.rank() % 2) as u64, -(comm.rank() as i64))?;
+                let (color, key) = deposit(comm.rank());
+                half.split(color, key)?;
+                Ok(())
+            });
+            let halves =
+                naive_split(&(0..p).map(|w| ((w % 2) as u64, -(w as i64))).collect::<Vec<_>>());
+            let mut expected = halves.clone();
+            for half in &halves {
+                let deposits: Vec<(u64, i64)> = half.iter().map(|&w| deposit(w)).collect();
+                for child in naive_split(&deposits) {
+                    expected.push(child.into_iter().map(|i| half[i]).collect());
+                }
+            }
+            let got: Vec<Vec<usize>> = prog.comms[1..].iter().map(|c| c.to_vec()).collect();
+            prop_assert_eq!(got, expected);
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Threadless event-loop execution of recorded op programs.
 //!
 //! [`EventLoopSim`] runs the p programs of a [`RecordedProgram`] over a
-//! [`SimNet`] with a single host thread: a binary heap of rank cursors
-//! ordered by virtual clock (conservative PDES — O(log p) per
-//! scheduling decision), per-rank program counters, and FIFO mailboxes
-//! keyed `(channel, src, dst)`. Memory is O(p) cursor state plus the
-//! in-flight mail — no stacks, which is what lets p = 2²⁰ replays run
-//! under the default `vm.max_map_count`.
+//! [`SimNet`] with a single host thread: per-rank program counters, a
+//! stack of runnable ranks, and one inbox of in-flight mail per
+//! destination rank. Every scheduling decision, send and in-order
+//! receive is O(1); a receive that matches out of order scans its own
+//! rank's in-flight mail, which is the inbox's worst case. Memory is
+//! O(p) cursor state plus the in-flight mail — no stacks, which is what
+//! lets p = 2²⁰ replays run under the default `vm.max_map_count`.
 //!
 //! **Parity contract.** Replay is bit-identical to the thread-per-rank
 //! [`crate::spmd::SimWorld`] run of the same schedule: same
@@ -16,12 +17,17 @@
 //! clock, so each rank's float timeline is a function of its own op
 //! order (fixed by the program) and of which messages it matched (fixed
 //! by per-`(channel, src, dst)` FIFO order — the same non-overtaking
-//! rule the SPMD mailboxes implement). Noise draws are keyed by
-//! `(sender, per-sender sequence)`, both preserved here. The aggregate
-//! `msgs`/`bytes` are order-free integer sums and the report's times are
-//! per-rank maxima, so heap pop order is unobservable. Every
-//! deadline/fault decision point below cites the `spmd.rs` behaviour it
-//! mirrors.
+//! rule the SPMD mailboxes implement; an inbox keeps its mail in send
+//! order, so the first entry matching `(channel, src)` is that pair's
+//! FIFO head). Noise draws are keyed by `(sender, per-sender sequence)`,
+//! both preserved here. The aggregate `msgs`/`bytes` are order-free
+//! integer sums and the report's times are per-rank maxima, so the order
+//! in which runnable ranks are taken is unobservable — which is why a
+//! plain stack serves, with no clock-ordered queue. A rank runs until it
+//! blocks or ends; the deadline quiescence below fires only once the
+//! stack is empty, i.e. when every live rank is blocked, whatever order
+//! got it there. Every deadline/fault decision point below cites the
+//! `spmd.rs` behaviour it mirrors.
 //!
 //! One deliberate divergence, observably identical: a
 //! `FaultAction::Duplicate` ghost message is not enqueued (the SPMD
@@ -29,12 +35,18 @@
 //! never counts it — pure leftover mail, and the leftover assert is
 //! relaxed under faults on both engines).
 
+use crate::fasthash::FastMap;
 use crate::record::{Op, RecordedProgram};
-use crate::sim::SimNet;
+use crate::sim::{PendingMsg, SimNet};
 use crate::spmd::SimRunOptions;
 use hsumma_trace::{CommEdge, CommError, FaultDecision, FaultState};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// A drained inbox keeps its buffer only up to this capacity (in
+/// messages): a `VecDeque` of 32-byte entries first allocates 4, so an
+/// inbox that never held more than 4 messages at once allocates once.
+const INBOX_KEEP: usize = 4;
 
 const DEADLOCK_MSG: &str = "replayed program deadlocked: every live rank is blocked on a message \
      that can never arrive (set a deadline via SimRunOptions to turn stalls into timeouts)";
@@ -80,28 +92,6 @@ enum Blocked {
     Split { comm: u32 },
 }
 
-/// Heap key: total-ordered f64 clock (no NaNs arise — clocks are sums of
-/// non-negative finite times), min-first via `Reverse` at the call site.
-#[derive(PartialEq)]
-struct ClockKey(f64);
-impl Eq for ClockKey {}
-impl PartialOrd for ClockKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ClockKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Rendezvous bookkeeping for one `(comm, seq, kind)` barrier or split.
-struct Rendezvous {
-    arrived: usize,
-    waiters: Vec<usize>,
-}
-
 struct Replay<'p> {
     prog: &'p RecordedProgram,
     net: SimNet,
@@ -115,11 +105,22 @@ struct Replay<'p> {
     errors: Vec<Option<CommError>>,
     /// Open pivot-step spans per rank: `(k, outer, inner, t0)`.
     steps: Vec<Vec<(u32, u32, u32, f64)>>,
-    mail: HashMap<(u32, u32, u32), VecDeque<crate::sim::PendingMsg>>,
-    /// `(comm, seq, kind)` → rendezvous state; kind 0 = barrier, 1 = split.
-    rendezvous: HashMap<(u32, u32, u8), Rendezvous>,
-    heap: BinaryHeap<std::cmp::Reverse<(ClockKey, usize)>>,
-    queued: Vec<bool>,
+    /// Per-destination in-flight mail, in send order: `(chan, src, msg)`.
+    /// A `VecDeque` so the common in-order receive pops the front.
+    inbox: Vec<VecDeque<(u32, u32, PendingMsg)>>,
+    /// `(comm, seq, kind)` → members arrived so far; kind 0 = barrier,
+    /// 1 = split.
+    rendezvous: FastMap<(u32, u32, u8), usize>,
+    /// Ranks that may run: not finished, not blocked. A rank is pushed
+    /// once at the start and once per wake, and a wake only happens to
+    /// a rank that is not on the stack (blocked, or the last arriver of
+    /// a rendezvous), so no rank is on it twice. The order is free (see
+    /// the module docs) but not its cost: ranks start lowest first and
+    /// a rendezvous releases its members lowest rank first, because low
+    /// ranks root the collective trees, and a sender that runs before
+    /// its receivers saves them a block and a wake. A woken receiver
+    /// goes on top and runs next, while its mail is still in cache.
+    ready: Vec<usize>,
 }
 
 /// The threadless replay engine: prices a [`RecordedProgram`] on a
@@ -175,18 +176,15 @@ impl EventLoopSim {
             live: p,
             errors: (0..p).map(|_| None).collect(),
             steps: vec![Vec::new(); p],
-            mail: HashMap::new(),
-            rendezvous: HashMap::new(),
-            heap: BinaryHeap::with_capacity(p),
-            queued: vec![false; p],
+            inbox: vec![VecDeque::new(); p],
+            rendezvous: FastMap::default(),
+            // Reversed so rank 0 runs first.
+            ready: (0..p).rev().collect(),
         };
-        for r in 0..p {
-            rp.push_runnable(r);
-        }
         rp.drive();
         if !relaxed {
             assert!(
-                rp.mail.values().all(VecDeque::is_empty),
+                rp.inbox.iter().all(VecDeque::is_empty),
                 "replayed program left undelivered messages behind"
             );
         }
@@ -204,21 +202,17 @@ impl EventLoopSim {
 }
 
 impl<'p> Replay<'p> {
-    fn push_runnable(&mut self, r: usize) {
-        if !self.queued[r] && !self.finished[r] {
-            self.queued[r] = true;
-            self.heap
-                .push(std::cmp::Reverse((ClockKey(self.net.now(r)), r)));
-        }
+    /// Unblocks `r` and makes it runnable.
+    fn wake(&mut self, r: usize) {
+        self.blocked[r] = None;
+        self.ready.push(r);
     }
 
     fn drive(&mut self) {
         loop {
-            while let Some(std::cmp::Reverse((_, r))) = self.heap.pop() {
-                self.queued[r] = false;
-                if !self.finished[r] && self.blocked[r].is_none() {
-                    self.run_rank(r);
-                }
+            while let Some(r) = self.ready.pop() {
+                debug_assert!(!self.finished[r] && self.blocked[r].is_none());
+                self.run_rank(r);
             }
             if self.live == 0 {
                 return;
@@ -238,16 +232,21 @@ impl<'p> Replay<'p> {
                 let b = self.blocked[r].take().expect("live rank must be blocked");
                 self.net.wait_until(r, d);
                 let err = match b {
-                    Blocked::Recv { chan, src } => {
-                        let (ctx, tag) = self.prog.chans[chan as usize];
-                        timeout(r, src as usize, ctx, tag, "recv")
-                    }
+                    Blocked::Recv { chan, src } => self.chan_timeout(r, src, chan, "recv"),
                     Blocked::Barrier { comm } => timeout(r, r, comm, 0, "barrier"),
                     Blocked::Split { comm } => timeout(r, r, comm, 0, "split"),
                 };
                 self.fail(r, err);
             }
         }
+    }
+
+    /// The timeout `r` fails with in `op` on channel `chan` with `peer`.
+    /// Only failures look a channel up: a clean replay never touches
+    /// the channel table, which at COSMA scale is far out of cache.
+    fn chan_timeout(&self, r: usize, peer: u32, chan: u32, op: &'static str) -> CommError {
+        let (ctx, tag) = self.prog.chans[chan as usize];
+        timeout(r, peer as usize, ctx, tag, op)
     }
 
     /// Fails `r`: record the error, close its open pivot-step spans
@@ -282,18 +281,19 @@ impl<'p> Replay<'p> {
         let program = &self.prog.programs[r];
         while let Some(&op) = program.get(self.pc[r]) {
             match op {
-                Op::Send { chan, dst, bytes } => {
-                    let (ctx, tag) = self.prog.chans[chan as usize];
+                Op::Send { chan, dst, size } => {
+                    let bytes = self.prog.sizes[size as usize];
                     // spmd send_bytes: the deadline check precedes the
                     // fault cursor, which precedes the clock work.
                     if let Some(d) = self.deadline {
                         if self.net.now(r) >= d {
-                            self.fail(r, timeout(r, dst as usize, ctx, tag, "send"));
+                            self.fail(r, self.chan_timeout(r, dst, chan, "send"));
                             return;
                         }
                     }
                     let mut delay = None;
                     if let Some(faults) = self.faults.as_mut() {
+                        let tag = self.prog.chans[chan as usize].1;
                         match faults[r].on_send(dst as usize, tag) {
                             FaultDecision::Deliver => {}
                             FaultDecision::Drop => {
@@ -326,62 +326,66 @@ impl<'p> Replay<'p> {
                     if let Some(s) = delay {
                         msg.delay(s);
                     }
-                    self.mail
-                        .entry((chan, r as u32, dst))
-                        .or_default()
-                        .push_back(msg);
+                    let dst = dst as usize;
+                    self.inbox[dst].push_back((chan, r as u32, msg));
                     self.pc[r] += 1;
                     // Wake the receiver iff it is blocked on exactly
                     // this (chan, src) — the SPMD world's targeted wake.
-                    let dst = dst as usize;
                     if let Some(Blocked::Recv { chan: bc, src: bs }) = self.blocked[dst] {
                         if bc == chan && bs as usize == r {
-                            self.blocked[dst] = None;
-                            self.push_runnable(dst);
+                            self.wake(dst);
                         }
                     }
                 }
-                Op::Recv { chan, src, bytes } => {
-                    let (ctx, tag) = self.prog.chans[chan as usize];
+                Op::Recv { chan, src, size } => {
                     // spmd recv_bytes: own-clock deadline check first
                     // (no wait charged) …
                     if let Some(d) = self.deadline {
                         if self.net.now(r) >= d {
-                            self.fail(r, timeout(r, src as usize, ctx, tag, "recv"));
+                            self.fail(r, self.chan_timeout(r, src, chan, "recv"));
                             return;
                         }
                     }
-                    let key = (chan, src, r as u32);
-                    let head = self.mail.get(&key).and_then(|q| q.front().copied());
-                    let Some(msg) = head else {
+                    let head = self.inbox[r]
+                        .iter()
+                        .position(|&(c, s, _)| c == chan && s == src);
+                    let Some(pos) = head else {
                         self.blocked[r] = Some(Blocked::Recv { chan, src });
                         return;
                     };
                     // … then the arrival-past-deadline check, which
                     // *does* advance the clock to the deadline.
                     if let Some(d) = self.deadline {
-                        if msg.arrival() > d {
+                        if self.inbox[r][pos].2.arrival() > d {
                             self.net.wait_until(r, d);
-                            self.fail(r, timeout(r, src as usize, ctx, tag, "recv"));
+                            self.fail(r, self.chan_timeout(r, src, chan, "recv"));
                             return;
                         }
                     }
-                    let q = self.mail.get_mut(&key).expect("head mail vanished");
-                    let msg = q.pop_front().expect("head mail vanished");
-                    if q.is_empty() {
-                        // Keep the mailbox map O(in-flight), not
-                        // O(every channel ever used) — at p = 2²⁰ the
-                        // drained queues dominate memory otherwise.
-                        self.mail.remove(&key);
+                    let inbox = &mut self.inbox[r];
+                    let (_, _, msg) = inbox.remove(pos).expect("head mail vanished");
+                    if inbox.is_empty() && inbox.capacity() > INBOX_KEEP {
+                        // Senders run ahead of their receivers (a rank
+                        // runs until it blocks), so an inbox can grow
+                        // long. Releasing it once drained makes memory
+                        // follow the mail in flight now rather than the
+                        // sum of every rank's historical maximum (at
+                        // COSMA p = 2¹⁸: 0.54 GB peak instead of 0.97).
+                        // Growing past the threshold again takes more
+                        // pushes than the regrowth allocates, so the
+                        // cost stays O(1) per message.
+                        *inbox = VecDeque::new();
                     }
+                    let bytes = self.prog.sizes[size as usize];
                     if bytes != u64::MAX {
                         assert_eq!(msg.payload_bytes(), bytes, "phantom payload size mismatch");
                     }
                     self.net.deliver(r, msg);
                     self.pc[r] += 1;
                 }
-                Op::Compute { pairs, flops } => {
+                Op::Compute { charge } => {
                     // spmd compute: no deadline check.
+                    let (pairs, flops) = self.prog.charges[charge as usize];
                     self.net.compute_flops(r, self.gamma * pairs, flops);
                     self.pc[r] += 1;
                 }
@@ -396,9 +400,8 @@ impl<'p> Replay<'p> {
                         }
                     }
                     self.pc[r] += 1;
-                    if !self.arrive(r, comm, seq, 0) {
-                        return;
-                    }
+                    self.arrive(r, comm, seq, 0);
+                    return;
                 }
                 Op::Split { comm, seq } => {
                     // spmd split: pure rendezvous — no entry deadline
@@ -406,9 +409,8 @@ impl<'p> Replay<'p> {
                     // back so fault/deadline quiescence sees the same
                     // blocked set as the threaded world.
                     self.pc[r] += 1;
-                    if !self.arrive(r, comm, seq, 1) {
-                        return;
-                    }
+                    self.arrive(r, comm, seq, 1);
+                    return;
                 }
                 Op::StepPush { k, outer, inner } => {
                     self.steps[r].push((k, outer, inner, self.net.now(r)));
@@ -433,42 +435,32 @@ impl<'p> Replay<'p> {
         self.finish(r);
     }
 
-    /// Deposits `r`'s arrival at rendezvous `(comm, seq, kind)`. Returns
-    /// `true` if the rank may continue (it completed the rendezvous),
-    /// `false` if it blocked waiting for the remaining members (its pc
-    /// has already advanced past the op; a wake simply resumes it).
-    fn arrive(&mut self, r: usize, comm: u32, seq: u32, kind: u8) -> bool {
-        let group = self.prog.comms[comm as usize].len();
-        let rv = self
-            .rendezvous
-            .entry((comm, seq, kind))
-            .or_insert(Rendezvous {
-                arrived: 0,
-                waiters: Vec::new(),
-            });
-        rv.arrived += 1;
-        if rv.arrived < group {
-            rv.waiters.push(r);
+    /// Deposits `r`'s arrival at rendezvous `(comm, seq, kind)`. The
+    /// caller has already advanced `r`'s pc past the op, so `r` stops
+    /// here either way: it waits for the remaining members, or — as the
+    /// last arriver — releases the whole group, itself included.
+    fn arrive(&mut self, r: usize, comm: u32, seq: u32, kind: u8) {
+        let prog = self.prog;
+        let members = &prog.comms[comm as usize];
+        let arrived = self.rendezvous.entry((comm, seq, kind)).or_insert(0);
+        *arrived += 1;
+        if *arrived < members.len() {
             self.blocked[r] = Some(if kind == 0 {
                 Blocked::Barrier { comm }
             } else {
                 Blocked::Split { comm }
             });
-            return false;
+            return;
         }
-        let rv = self
-            .rendezvous
-            .remove(&(comm, seq, kind))
-            .expect("rendezvous vanished");
+        self.rendezvous.remove(&(comm, seq, kind));
         if kind == 0 {
-            let members = Arc::clone(&self.prog.comms[comm as usize]);
-            self.net.barrier_group(&members);
+            self.net.barrier_group(members);
         }
-        for w in rv.waiters {
-            self.blocked[w] = None;
-            self.push_runnable(w);
+        // Lowest communicator rank on top of the stack: the group
+        // resumes in rank order (see `ready`).
+        for &w in members.iter().rev() {
+            self.wake(w);
         }
-        true
     }
 }
 
@@ -536,6 +528,85 @@ mod tests {
         });
         let out = EventLoopSim::new(net(2), 0.0).run(&prog, &SimRunOptions::unbounded());
         out.expect_clean();
+    }
+
+    fn report_bits(r: &crate::SimReport) -> [u64; 5] {
+        [
+            r.total_time.to_bits(),
+            r.comm_time.to_bits(),
+            r.comp_time.to_bits(),
+            r.msgs,
+            r.bytes,
+        ]
+    }
+
+    #[test]
+    fn inbox_matches_each_tag_in_send_order() {
+        // 300 sends interleaved over three tags, every one a distinct
+        // size: receiving tag by tag makes the inbox skip the other
+        // tags' mail, and the size assert catches any wrong match.
+        const SENDS: u64 = 300;
+        let bytes = |i: u64| 8 * (i + 1);
+        let prog = record(2, false, |comm| {
+            if comm.rank() == 0 {
+                for i in 0..SENDS {
+                    comm.send_bytes(1, i % 3, bytes(i))?;
+                }
+            } else {
+                for tag in 0..3 {
+                    for i in (tag..SENDS).step_by(3) {
+                        comm.recv_bytes_expect(0, tag, bytes(i))?;
+                    }
+                }
+            }
+            Ok(())
+        });
+        let (threaded, _) = SimWorld::run(net(2), 0.0, false, |comm| {
+            if comm.rank() == 0 {
+                for i in 0..SENDS {
+                    comm.send_bytes(1, i % 3, bytes(i)).unwrap();
+                }
+            } else {
+                for tag in 0..3 {
+                    for i in (tag..SENDS).step_by(3) {
+                        assert_eq!(comm.recv_bytes(0, tag).unwrap(), bytes(i));
+                    }
+                }
+            }
+        });
+        let out = EventLoopSim::new(net(2), 0.0).run(&prog, &SimRunOptions::unbounded());
+        let (_, report) = out.expect_clean();
+        assert_eq!(report_bits(&report), report_bits(&threaded.report()));
+    }
+
+    #[test]
+    fn many_to_one_in_reverse_rank_order_matches_threaded_bitwise() {
+        // Every rank sends to rank 0, which receives in reverse rank
+        // order: each receive scans past the mail of every lower rank.
+        const P: usize = 1024;
+        let bytes = |r: usize| 8 * r as u64;
+        let prog = record(P, false, |comm| {
+            if comm.rank() == 0 {
+                for src in (1..P).rev() {
+                    comm.recv_bytes_expect(src, 3, bytes(src))?;
+                }
+            } else {
+                comm.send_bytes(0, 3, bytes(comm.rank()))?;
+            }
+            Ok(())
+        });
+        let (threaded, _) = SimWorld::run(net(P), 0.0, false, |comm| {
+            if comm.rank() == 0 {
+                for src in (1..P).rev() {
+                    assert_eq!(comm.recv_bytes(src, 3).unwrap(), bytes(src));
+                }
+            } else {
+                comm.send_bytes(0, 3, bytes(comm.rank())).unwrap();
+            }
+        });
+        let out = EventLoopSim::new(net(P), 0.0).run(&prog, &SimRunOptions::unbounded());
+        let (_, report) = out.expect_clean();
+        assert_eq!(report_bits(&report), report_bits(&threaded.report()));
     }
 
     #[test]
